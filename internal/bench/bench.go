@@ -30,7 +30,7 @@ func (bm Benchmark) ID() string { return bm.Suite + "/" + bm.Name }
 // MicroSuites are the per-package hot-path suites; "micro" selects all
 // of them at once. The pipeline suite is excluded: it runs the full
 // corpus→crawl→report stack and is priced accordingly.
-var MicroSuites = []string{"hpack", "qpack", "h2", "obs", "measure", "corpus"}
+var MicroSuites = []string{"hpack", "qpack", "h2", "obs", "measure", "corpus", "cache"}
 
 // All returns every registered benchmark in deterministic order.
 func All() []Benchmark {
@@ -41,6 +41,7 @@ func All() []Benchmark {
 	out = append(out, obsSuite()...)
 	out = append(out, measureSuite()...)
 	out = append(out, corpusSuite()...)
+	out = append(out, cacheSuite()...)
 	out = append(out, pipelineSuite()...)
 	out = append(out, loadgenSuite()...)
 	out = append(out, scenarioSuite()...)

@@ -347,9 +347,9 @@ func TestDropConns(t *testing.T) {
 	}
 }
 
-// TestSanMatchWildcardEdges pins the wildcard edge cases: a wildcard
-// never matches its bare suffix, never spans multiple labels, and the
-// degenerate "*." SAN matches nothing.
+// TestSanMatchWildcardEdges pins the wildcard edge cases as a
+// connection sees them: a wildcard never matches its bare suffix, never
+// spans multiple labels, and the degenerate "*." SAN matches nothing.
 func TestSanMatchWildcardEdges(t *testing.T) {
 	cases := []struct {
 		sans []string
@@ -368,8 +368,9 @@ func TestSanMatchWildcardEdges(t *testing.T) {
 		{[]string{"*.example.com"}, "wwwexample.com", false},
 	}
 	for _, c := range cases {
-		if got := sanMatch(c.sans, c.host); got != c.want {
-			t.Errorf("sanMatch(%v, %q) = %v, want %v", c.sans, c.host, got, c.want)
+		conn := &Conn{SANs: c.sans}
+		if got := conn.covers(c.host); got != c.want {
+			t.Errorf("Conn{SANs: %v}.covers(%q) = %v, want %v", c.sans, c.host, got, c.want)
 		}
 	}
 }

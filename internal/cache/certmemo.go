@@ -152,13 +152,6 @@ func (c *Cache) PutNegativeDNSVia(t DNSTransport, name string) {
 	c.DNS.PutNegativeVia(t, name, 1, uint32(c.opts.NegativeTTLSeconds), c.clock.NowMs())
 }
 
-// RedeemTicket attempts TLS resumption for host under the legacy h2
-// protocol key (ProtoWireH2). Protocol-aware call sites should use
-// RedeemTicketProto.
-func (c *Cache) RedeemTicket(host string) bool {
-	return c.RedeemTicketProto(host, ProtoWireH2)
-}
-
 // RedeemTicketProto attempts TLS resumption for host with a ticket
 // minted under the given wire protocol. Tickets never match across
 // protocols: an h2 ticket cannot resume an h3 session.
@@ -167,13 +160,6 @@ func (c *Cache) RedeemTicketProto(host string, proto int) bool {
 		return false
 	}
 	return c.Tickets.RedeemProto(host, proto, c.clock.NowMs())
-}
-
-// StoreTicket issues a session ticket covering the given SANs under
-// the legacy h2 protocol key (ProtoWireH2). Protocol-aware call sites
-// should use StoreTicketProto.
-func (c *Cache) StoreTicket(sans []string) {
-	c.StoreTicketProto(sans, ProtoWireH2)
 }
 
 // StoreTicketProto issues a session ticket covering the given SANs,

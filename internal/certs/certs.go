@@ -159,6 +159,38 @@ func (l *Leaf) Covers(host string) bool {
 	return l.Cert.VerifyHostname(host) == nil
 }
 
+// SANsCover reports whether a certificate SAN list covers host: a SAN
+// equal to host, or a "*.parent" wildcard whose "*" stands for exactly
+// one non-empty leftmost label of host (RFC 6125 §6.4.3). The wildcard
+// never matches its bare parent, never spans labels, and "*" or "*."
+// are not wildcards. Every component that asks whether a certificate
+// covers a hostname — browser coalescing, the warm-state stores and
+// the §4.3 certificate plan — uses this one rule.
+func SANsCover(sans []string, host string) bool {
+	parent, wild := WildcardParent(host)
+	for _, san := range sans {
+		if san == host {
+			return true
+		}
+		if wild && len(san) == len(parent)+2 && san[0] == '*' && san[1] == '.' && san[2:] == parent {
+			return true
+		}
+	}
+	return false
+}
+
+// WildcardParent returns host with its leftmost label removed — the
+// parent a "*.parent" SAN must name to cover host — and false when the
+// leftmost label or the remainder is empty. Applied to a wildcard SAN
+// it yields the parent the wildcard covers: "*.x.com" → "x.com".
+func WildcardParent(host string) (string, bool) {
+	i := strings.IndexByte(host, '.')
+	if i <= 0 || i == len(host)-1 {
+		return "", false
+	}
+	return host[i+1:], true
+}
+
 // WireSize returns the DER-encoded size of the leaf in bytes.
 func (l *Leaf) WireSize() int { return len(l.DER) }
 

@@ -226,3 +226,68 @@ func TestTLSCertificateUsable(t *testing.T) {
 func verifyOpts(ca *CA) x509.VerifyOptions {
 	return x509.VerifyOptions{Roots: ca.Pool()}
 }
+
+// TestSANsCover pins the single-label wildcard rule: a wildcard never
+// matches its bare parent, never spans multiple labels, never matches
+// an empty label, and the degenerate "*" and "*." SANs match only
+// themselves.
+func TestSANsCover(t *testing.T) {
+	plan := []string{"a.example.com", "*.b.example.com"}
+	cases := []struct {
+		sans []string
+		host string
+		want bool
+	}{
+		{[]string{"*.example.com"}, "www.example.com", true},
+		{[]string{"*.example.com"}, "example.com", false},     // host == parent
+		{[]string{"*.example.com"}, "a.b.example.com", false}, // multi-label
+		{[]string{"*."}, "anything", false},                   // bare wildcard
+		{[]string{"*."}, "a.", false},
+		{[]string{"*."}, "", false},
+		{[]string{"*"}, "anything", false},
+		{[]string{"*"}, "*", true},                         // exact
+		{[]string{"*.example.com"}, ".example.com", false}, // empty label
+		{[]string{"example.com"}, "example.com", true},     // exact
+		{[]string{"*.example.com", "example.com"}, "example.com", true},
+		{[]string{"*.co.uk"}, "example.co.uk", true}, // single label over ccTLD
+		{[]string{"*.example.com"}, "wwwexample.com", false},
+		{[]string{"*.*.example.com"}, "a.*.example.com", true},
+		{[]string{"*.*.example.com"}, "a.b.example.com", false},
+		{[]string{"q.*.example.com"}, "q.a.example.com", false},
+		{[]string{".example.com"}, "a.example.com", false},
+		{[]string{""}, "", true},
+		{nil, "example.com", false},
+		{plan, "a.example.com", true},
+		{plan, "x.b.example.com", true},
+		{plan, "x.y.b.example.com", false},
+		{plan, "b.example.com", false},
+		{plan, "c.example.com", false},
+	}
+	for _, c := range cases {
+		if got := SANsCover(c.sans, c.host); got != c.want {
+			t.Errorf("SANsCover(%q, %q) = %v, want %v", c.sans, c.host, got, c.want)
+		}
+	}
+}
+
+func TestWildcardParent(t *testing.T) {
+	cases := []struct {
+		host, parent string
+		ok           bool
+	}{
+		{"www.example.com", "example.com", true},
+		{"*.example.com", "example.com", true},
+		{"*.*.example.com", "*.example.com", true},
+		{"example.com", "com", true},
+		{"com", "", false},
+		{".example.com", "", false},
+		{"a.", "", false},
+		{"*.", "", false},
+		{"", "", false},
+	}
+	for _, c := range cases {
+		if p, ok := WildcardParent(c.host); p != c.parent || ok != c.ok {
+			t.Errorf("WildcardParent(%q) = %q, %v; want %q, %v", c.host, p, ok, c.parent, c.ok)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 
+	"respectorigin/internal/certs"
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
 )
@@ -58,33 +59,13 @@ func PlanCertChanges(p *har.Page) CertPlan {
 		}
 		seen[h] = true
 		plan.Coalescable = append(plan.Coalescable, h)
-		if !sanCovers(plan.Existing, h) {
+		if !certs.SANsCover(plan.Existing, h) {
 			plan.Additions = append(plan.Additions, h)
 		}
 	}
 	sort.Strings(plan.Coalescable)
 	sort.Strings(plan.Additions)
 	return plan
-}
-
-// sanCovers reports whether the SAN list covers host (exact or
-// single-label wildcard).
-func sanCovers(sans []string, host string) bool {
-	for _, san := range sans {
-		if san == host {
-			return true
-		}
-		if strings.HasPrefix(san, "*.") {
-			suffix := san[1:]
-			if strings.HasSuffix(host, suffix) {
-				label := host[:len(host)-len(suffix)]
-				if label != "" && !strings.Contains(label, ".") {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // CertPlanSummary aggregates §4.3 statistics across a corpus.

@@ -162,6 +162,8 @@ func TestCorpusCertHeadlines(t *testing.T) {
 	}
 }
 
+// TestSanCovers checks that the plan adds exactly the hosts the
+// existing SANs do not cover, with wildcards matching one label only.
 func TestSanCovers(t *testing.T) {
 	sans := []string{"a.example.com", "*.b.example.com"}
 	cases := []struct {
@@ -175,8 +177,13 @@ func TestSanCovers(t *testing.T) {
 		{"c.example.com", false},
 	}
 	for _, c := range cases {
-		if got := sanCovers(sans, c.host); got != c.want {
-			t.Errorf("sanCovers(%s) = %v", c.host, got)
+		p := modelPage()
+		p.Entries[0].CertSANs = sans
+		p.Entries[1].Host = c.host
+		p.Entries = p.Entries[:2]
+		plan := PlanCertChanges(p)
+		if got := len(plan.Additions) == 0; got != c.want {
+			t.Errorf("covered(%s) = %v, additions %v", c.host, got, plan.Additions)
 		}
 	}
 }

@@ -145,7 +145,7 @@ func WarmReplayCosts(p *har.Page, c *cache.Cache) VisitCosts {
 		if len(sans) == 0 {
 			sans = []string{e.Host}
 		}
-		if c.RedeemTicket(e.Host) {
+		if c.RedeemTicketProto(e.Host, cache.ProtoWireH2) {
 			vc.ResumedTLS++
 		} else {
 			vc.FullHandshakes++
@@ -155,7 +155,7 @@ func WarmReplayCosts(p *har.Page, c *cache.Cache) VisitCosts {
 				vc.Validations++
 			}
 		}
-		c.StoreTicket(sans)
+		c.StoreTicketProto(sans, cache.ProtoWireH2)
 	}
 	// Happy-eyeballs and speculative-connection races (§4.2) fire
 	// before any answer or ticket could be consulted.

@@ -284,10 +284,16 @@ func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
 	fields = append(fields, hpack.HeaderField{Name: ":path", Value: req.Path})
 	fields = append(fields, req.Header...)
 
+	// Hold the header-writer lock from stream-ID allocation through the
+	// HEADERS(+CONTINUATION) sequence: HPACK state must stay consistent,
+	// and streams must reach the wire in ID order (RFC 9113 §5.1.1) or
+	// the server rejects the connection.
+	cc.hwmu.Lock()
 	cc.mu.Lock()
 	if cc.closed {
 		err := cc.connErr
 		cc.mu.Unlock()
+		cc.hwmu.Unlock()
 		if err == nil {
 			err = errors.New("h2: client connection closed")
 		}
@@ -299,16 +305,11 @@ func (cc *ClientConn) startRequest(req *Request) (*clientStream, error) {
 	cc.streams[id] = cs
 	cc.mu.Unlock()
 	cc.sendFlow.openStream(id)
-	obs.Count(cc.opts.Recorder, "h2.client.streams", 1)
-	obs.Emit(cc.opts.Recorder, obs.Event{Kind: obs.KindStreamOpen, Host: req.Authority, N: int(id)})
-
 	endStream := len(req.Body) == 0
-
-	// Hold the header-writer lock across the HEADERS(+CONTINUATION)
-	// sequence so HPACK state and stream-ID ordering stay consistent.
-	cc.hwmu.Lock()
 	err := cc.hw.writeHeaders(id, fields, endStream)
 	cc.hwmu.Unlock()
+	obs.Count(cc.opts.Recorder, "h2.client.streams", 1)
+	obs.Emit(cc.opts.Recorder, obs.Event{Kind: obs.KindStreamOpen, Host: req.Authority, N: int(id)})
 	if err != nil {
 		cc.abortStream(cs, err)
 		return cs, err

@@ -85,13 +85,30 @@ type Result struct {
 }
 
 // Run executes the sweep. One corpus is generated per archetype and
-// streamed through the corpus API (encoded once, decoded by every cell
-// that replays it); cells fan out through internal/parallel in fixed
+// round-tripped through the corpus API (encoded once, decoded once);
+// every cell replaying that archetype shares the decoded pages
+// read-only. Cells fan out through internal/parallel in fixed
 // cross-product order, so the result — and every byte derived from it —
 // is identical at any worker count.
 func Run(cfg Config) (*Result, error) {
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
+	corpora := make([][]*har.Page, len(cfg.Archetypes))
+	for i, a := range cfg.Archetypes {
+		if _, corpora[i], err = buildCorpus(cfg, a); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Cells: replay(cfg, corpora)}, nil
+}
+
+// normalize fills empty axes with the built-in ones and validates every
+// axis value up front.
+func (cfg Config) normalize() (Config, error) {
 	if cfg.Sites <= 0 {
-		return nil, fmt.Errorf("scenario: Sites must be positive")
+		return cfg, fmt.Errorf("scenario: Sites must be positive")
 	}
 	if len(cfg.Personas) == 0 {
 		cfg.Personas = Personas()
@@ -107,37 +124,45 @@ func Run(cfg Config) (*Result, error) {
 	}
 	for _, a := range cfg.Archetypes {
 		if err := a.Validate(); err != nil {
-			return nil, err
+			return cfg, err
 		}
 	}
 	for _, pr := range cfg.Profiles {
 		if err := pr.Params.Validate(); err != nil {
-			return nil, fmt.Errorf("scenario: profile %q: %w", pr.Name, err)
+			return cfg, fmt.Errorf("scenario: profile %q: %w", pr.Name, err)
 		}
 	}
+	return cfg, nil
+}
 
-	// One corpus per archetype, round-tripped through the corpus API:
-	// cells replay the decoded stream, never the generator directly.
-	blobs := make([][]byte, len(cfg.Archetypes))
-	for i, a := range cfg.Archetypes {
-		var buf bytes.Buffer
-		w := corpus.NewWriter(&buf, corpus.FormatColumnar)
-		gcfg := webgen.DefaultConfig()
-		gcfg.Sites = cfg.Sites
-		gcfg.Seed = cfg.Seed
-		gcfg.Workers = cfg.Workers
-		gcfg.Archetype = a
-		if _, err := webgen.GenerateStream(gcfg, w.Write); err != nil {
-			return nil, err
-		}
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
-		blobs[i] = buf.Bytes()
+// buildCorpus generates one archetype's corpus and round-trips it
+// through the corpus API, returning the columnar blob and its decoded
+// pages: cells replay the decoded pages, never the generator directly.
+func buildCorpus(cfg Config, a webgen.Archetype) ([]byte, []*har.Page, error) {
+	var buf bytes.Buffer
+	w := corpus.NewWriter(&buf, corpus.FormatColumnar)
+	gcfg := webgen.DefaultConfig()
+	gcfg.Sites = cfg.Sites
+	gcfg.Seed = cfg.Seed
+	gcfg.Workers = cfg.Workers
+	gcfg.Archetype = a
+	if _, err := webgen.GenerateStream(gcfg, w.Write); err != nil {
+		return nil, nil, err
 	}
+	if err := w.Close(); err != nil {
+		return nil, nil, err
+	}
+	blob := buf.Bytes()
+	pages, err := corpus.ReadAll(corpus.NewReader(bytes.NewReader(blob), corpus.FormatColumnar))
+	return blob, pages, err
+}
 
+// replay runs the cell cross-product of a normalized config over the
+// per-archetype corpora (indexed like cfg.Archetypes), sharing each
+// corpus read-only across its cells.
+func replay(cfg Config, corpora [][]*har.Page) []Cell {
 	type spec struct {
-		blob      []byte
+		pages     []*har.Page
 		archetype webgen.Archetype
 		persona   Persona
 		profile   netsim.Profile
@@ -148,37 +173,24 @@ func Run(cfg Config) (*Result, error) {
 		for _, pe := range cfg.Personas {
 			for _, pr := range cfg.Profiles {
 				for _, t := range cfg.Transports {
-					specs = append(specs, spec{blobs[i], a, pe, pr, t})
+					specs = append(specs, spec{corpora[i], a, pe, pr, t})
 				}
 			}
 		}
 	}
-
-	type cellOrErr struct {
-		cell Cell
-		err  error
-	}
-	results := parallel.Map(len(specs), cfg.Workers, func(i int) cellOrErr {
+	return parallel.Map(len(specs), cfg.Workers, func(i int) Cell {
 		s := specs[i]
-		c, err := runCell(s.blob, s.archetype, s.persona, s.profile, s.transport)
-		return cellOrErr{c, err}
+		return runCell(s.pages, s.archetype, s.persona, s.profile, s.transport)
 	})
-	cells := make([]Cell, 0, len(results))
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		cells = append(cells, r.cell)
-	}
-	return &Result{Cells: cells}, nil
 }
 
 // runCell replays one archetype corpus through one persona under one
 // profile and transport. The browser's pool resets per page (each load
 // is a fresh browsing context) while the warm-path cache persists
 // across the cell, so repeated third parties resolve and resume warm —
-// under the cell's own transport key.
-func runCell(blob []byte, archetype webgen.Archetype, persona Persona, profile netsim.Profile, transport cache.DNSTransport) (Cell, error) {
+// under the cell's own transport key. pages are shared with every other
+// cell of the archetype and must not be modified.
+func runCell(pages []*har.Page, archetype webgen.Archetype, persona Persona, profile netsim.Profile, transport cache.DNSTransport) Cell {
 	cell := Cell{
 		Persona:   persona.Name,
 		Archetype: archetype.String(),
@@ -195,8 +207,7 @@ func runCell(blob []byte, archetype webgen.Archetype, persona Persona, profile n
 
 	resolverConns := 0 // pages that touched the DoH resolver's wire
 	resumed := 0
-	r := corpus.NewReader(bytes.NewReader(blob), corpus.FormatColumnar)
-	err := corpus.ForEach(r, func(p *har.Page) error {
+	for _, p := range pages {
 		env := newPageEnv(p)
 		// Each page load is a fresh browsing context: the pool and the
 		// per-page totals reset, the warm-path cache persists.
@@ -250,13 +261,9 @@ func runCell(blob []byte, archetype webgen.Archetype, persona Persona, profile n
 		if b.TotalDNS > 0 {
 			resolverConns++
 		}
-		return nil
-	})
-	if err != nil {
-		return cell, err
 	}
 	cell.SetupMs = setupMs(cell, resumed, resolverConns, profile.Params, transport)
-	return cell, nil
+	return cell
 }
 
 // setupMs prices the cell's connection economy under the profile, in

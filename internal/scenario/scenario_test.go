@@ -5,9 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"respectorigin/internal/cache"
+	"respectorigin/internal/corpus"
+	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/webgen"
 )
@@ -190,5 +193,41 @@ func TestMatrixGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("seed-1 matrix table drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// Cells share each archetype's decoded pages read-only. Replaying them
+// concurrently (run under -race in CI) must leave every page — its DNS
+// answers and certificate SANs included — equal to a fresh decode of
+// the archetype's blob, and must produce exactly Run's cells.
+func TestReplayLeavesSharedCorpusUnmodified(t *testing.T) {
+	cfg, err := smallConfig(30, 2).normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := make([][]byte, len(cfg.Archetypes))
+	corpora := make([][]*har.Page, len(cfg.Archetypes))
+	for i, a := range cfg.Archetypes {
+		if blobs[i], corpora[i], err = buildCorpus(cfg, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cells := replay(cfg, corpora)
+	if want := mustRun(t, cfg).Cells; !reflect.DeepEqual(cells, want) {
+		t.Fatal("replay over shared corpora differs from Run")
+	}
+	for i, blob := range blobs {
+		fresh, err := corpus.ReadAll(corpus.NewReader(bytes.NewReader(blob), corpus.FormatColumnar))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fresh) != len(corpora[i]) {
+			t.Fatalf("%s: %d shared pages, fresh decode has %d", cfg.Archetypes[i], len(corpora[i]), len(fresh))
+		}
+		for j := range fresh {
+			if !reflect.DeepEqual(corpora[i][j], fresh[j]) {
+				t.Fatalf("%s page %d (%s) was modified by a cell", cfg.Archetypes[i], j, fresh[j].Host)
+			}
+		}
 	}
 }

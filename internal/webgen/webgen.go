@@ -15,10 +15,12 @@ import (
 	"math/rand"
 	"net/netip"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"respectorigin/internal/asn"
+	"respectorigin/internal/certs"
 	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/parallel"
@@ -833,23 +835,15 @@ func buildRootSANs(apex, siteHost string, own []hostInfo, n int, rng *rand.Rand)
 }
 
 // sanWildcardCovers reports whether an existing wildcard entry already
-// covers host.
+// covers host (exact entries do not count).
 func sanWildcardCovers(sans []string, host string) bool {
+	parent, ok := certs.WildcardParent(host)
+	if !ok {
+		return false
+	}
 	for _, san := range sans {
-		if len(san) > 2 && san[0] == '*' && san[1] == '.' {
-			suffix := san[1:]
-			if len(host) > len(suffix) && host[len(host)-len(suffix):] == suffix {
-				label := host[:len(host)-len(suffix)]
-				hasDot := false
-				for i := 0; i < len(label); i++ {
-					if label[i] == '.' {
-						hasDot = true
-					}
-				}
-				if label != "" && !hasDot {
-					return true
-				}
-			}
+		if strings.HasPrefix(san, "*.") && san[2:] == parent {
+			return true
 		}
 	}
 	return false
