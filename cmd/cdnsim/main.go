@@ -33,8 +33,8 @@ import (
 	_ "net/http/pprof"
 
 	"respectorigin/internal/cache"
-	"respectorigin/internal/cliflags"
 	"respectorigin/internal/cdn"
+	"respectorigin/internal/cliflags"
 	"respectorigin/internal/core"
 	"respectorigin/internal/faults"
 	"respectorigin/internal/netsim"
@@ -190,7 +190,7 @@ func main() {
 	if *cacheOn {
 		// Runs last: the warm/cold pass touches neither the pipeline
 		// nor the experiment RNG, so earlier output is unaffected.
-		costs := d.WarmColdProto(*revisits, sess.CacheOpts, proto)
+		costs := d.WarmCold(*revisits, sess.CacheOpts, proto)
 		label := "deployment sample, IP phase"
 		if proto != core.ProtoH2 {
 			label += ", " + proto.String()

@@ -9,7 +9,6 @@
 //	report -in dataset.col                     # crawl output, either encoding
 //	report -manifest s0.manifest.json,s1.manifest.json   # sharded crawl
 //	report -in dataset.col -reencode           # re-emit as NDJSON and exit
-//	report -matrix -sites 150                  # scenario matrix table and exit
 package main
 
 import (
@@ -29,7 +28,6 @@ import (
 	"respectorigin/internal/netsim"
 	"respectorigin/internal/obs"
 	"respectorigin/internal/report"
-	"respectorigin/internal/scenario"
 	"respectorigin/internal/webgen"
 )
 
@@ -54,29 +52,12 @@ func main() {
 	ticketLife := flag.Int("ticket-lifetime", cache.DefaultTicketLifetimeSeconds, "TLS session-ticket lifetime in seconds (0 disables resumption)")
 	protoName := flag.String("proto", "h2", "application protocol for the -cache replay (h1, h2, h3)")
 	protoSweep := flag.Bool("proto-sweep", false, "print the per-protocol (h1/h2/h3) savings decomposition table and exit")
-	matrix := flag.Bool("matrix", false, "print the persona × archetype × profile × transport scenario matrix and exit (use a small -sites, e.g. 150)")
 	flag.Parse()
 
 	proto, err := core.ParseProtocol(*protoName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(1)
-	}
-
-	if *matrix {
-		cfg, err := scenario.ConfigFromSelectors(*seed, *sites, *workers, "", "", "", "")
-		if err == nil {
-			var res *scenario.Result
-			res, err = scenario.Run(cfg)
-			if err == nil {
-				fmt.Print(res.Table())
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *funnelFile != "" {
@@ -193,7 +174,7 @@ func main() {
 		if proto != core.ProtoH2 {
 			label = "corpus, " + proto.String()
 		}
-		fmt.Print(report.SavingsTable(c.WarmColdProto(*revisits, opts, proto), label))
+		fmt.Print(report.SavingsTable(c.WarmCold(*revisits, opts, proto), label))
 		return
 	}
 

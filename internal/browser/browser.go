@@ -722,45 +722,34 @@ func (b *Browser) openConn(env Environment, host string, ip netip.Addr, addrs []
 	out.NewConnection = true
 	out.ConnHost = host
 	out.Proto = proto
-	if b.Cache != nil {
-		// Warm path: a stored ticket whose certificate coverage includes
-		// this host resumes the handshake — no full handshake, no chain
-		// validation (arXiv:1902.02531 resumption-across-hostnames).
-		// Otherwise a full handshake runs, validating the chain unless
-		// the memo has seen it before. Either way the new session mints
-		// a ticket for future visits. Tickets are protocol-keyed: an h2
-		// ticket never resumes an h3 session or vice versa.
-		wire := proto.Wire()
-		if out.ResumedTLS = b.Cache.RedeemTicketProto(host, wire); out.ResumedTLS {
-			b.TotalResumed++
-			b.emit(obs.Event{Kind: obs.KindTLSResume, Host: host, Detail: ip.String()})
-		} else {
-			b.emit(obs.Event{Kind: handshakeKind(proto), Host: host, Detail: ip.String()})
-			if out.CertMemoHit = b.Cache.ValidateChain("", c.SANs); out.CertMemoHit {
-				b.TotalCertMemoHits++
-				b.emit(obs.Event{Kind: obs.KindCertMemoHit, Host: host})
-			} else {
-				b.TotalValidations++
-			}
-		}
-		b.Cache.StoreTicketProto(c.SANs, wire)
-		if proto == ProtoH3 {
-			// Shared address validation (arXiv:2204.03399-style): a token
-			// minted for any SAN-covered hostname skips the Retry round
-			// trip; with a ticket on hand as well the handshake is 0-RTT.
-			if out.AddrTokenHit = b.Cache.RedeemToken(host, wire); out.AddrTokenHit {
-				b.TotalAddrTokens++
-				b.emit(obs.Event{Kind: obs.KindAddrTokenHit, Host: host})
-			}
-			if out.ZeroRTT = out.ResumedTLS && out.AddrTokenHit; out.ZeroRTT {
-				b.TotalZeroRTT++
-				b.emit(obs.Event{Kind: obs.KindZeroRTT, Host: host, Detail: ip.String()})
-			}
-			b.Cache.StoreToken(c.SANs, wire)
-		}
+	// Warm path: a stored ticket whose certificate coverage includes
+	// this host resumes the handshake — no full handshake, no chain
+	// validation (arXiv:1902.02531 resumption-across-hostnames).
+	// Otherwise a full handshake runs, validating the chain unless the
+	// memo has seen it before. Under h3 a token minted for any
+	// SAN-covered hostname skips the Retry round trip (shared address
+	// validation); with a ticket on hand as well the handshake is 0-RTT.
+	// Without a cache every handshake is full and validated.
+	h := b.Cache.Establish(host, "", c.SANs, proto.Wire())
+	if out.ResumedTLS = h.Resumed; out.ResumedTLS {
+		b.TotalResumed++
+		b.emit(obs.Event{Kind: obs.KindTLSResume, Host: host, Detail: ip.String()})
 	} else {
-		b.TotalValidations++
 		b.emit(obs.Event{Kind: handshakeKind(proto), Host: host, Detail: ip.String()})
+		if out.CertMemoHit = h.MemoHit; out.CertMemoHit {
+			b.TotalCertMemoHits++
+			b.emit(obs.Event{Kind: obs.KindCertMemoHit, Host: host})
+		} else {
+			b.TotalValidations++
+		}
+	}
+	if out.AddrTokenHit = h.TokenHit; out.AddrTokenHit {
+		b.TotalAddrTokens++
+		b.emit(obs.Event{Kind: obs.KindAddrTokenHit, Host: host})
+	}
+	if out.ZeroRTT = h.ZeroRTT(); out.ZeroRTT {
+		b.TotalZeroRTT++
+		b.emit(obs.Event{Kind: obs.KindZeroRTT, Host: host, Detail: ip.String()})
 	}
 	if len(c.Origins) > 0 {
 		b.emit(obs.Event{Kind: obs.KindOriginFrame, Host: host, N: len(c.Origins)})

@@ -134,14 +134,14 @@ func TestTicketLifetimeAndSingleUse(t *testing.T) {
 func TestCertMemo(t *testing.T) {
 	c := New(Options{})
 	sans := []string{"b.example", "a.example"}
-	if c.ValidateChain("CA", sans) {
+	if c.Chains.Validate(ChainHash("CA", sans)) {
 		t.Fatal("first validation of a chain is a miss")
 	}
 	// SAN order must not matter: same chain, reordered list.
-	if !c.ValidateChain("CA", []string{"a.example", "b.example"}) {
+	if !c.Chains.Validate(ChainHash("CA", []string{"a.example", "b.example"})) {
 		t.Fatal("second validation of the same chain must hit the memo")
 	}
-	if c.ValidateChain("OtherCA", sans) {
+	if c.Chains.Validate(ChainHash("OtherCA", sans)) {
 		t.Fatal("a different issuer is a different chain")
 	}
 	if s := c.Stats(); s.ChainHits != 1 || s.ChainMisses != 2 {
@@ -183,8 +183,8 @@ func TestNilCacheIsInert(t *testing.T) {
 	if c.RedeemTicketProto("x", ProtoWireH2) {
 		t.Fatal("nil cache must not resume")
 	}
-	if c.ValidateChain("CA", []string{"x"}) {
-		t.Fatal("nil cache must not memoize")
+	if h := c.Establish("x", "CA", []string{"x"}, ProtoWireH3); h != (Handshake{}) {
+		t.Fatalf("nil cache establish = %+v, want the cold zero value", h)
 	}
 	c.Clock().AdvanceMs(1000) // must not panic
 	if s := c.Stats(); s != (Stats{}) {

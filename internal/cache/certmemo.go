@@ -171,30 +171,41 @@ func (c *Cache) StoreTicketProto(sans []string, proto int) {
 	c.Tickets.StoreProto(sans, proto, c.clock.NowMs())
 }
 
-// RedeemToken reports whether a live address-validation token minted
-// under the given wire protocol covers host (skipping the QUIC Retry
-// round trip). Only h3 connections mint or redeem tokens.
-func (c *Cache) RedeemToken(host string, proto int) bool {
-	if c == nil {
-		return false
-	}
-	return c.Tokens.Redeem(host, proto, c.clock.NowMs())
+// Handshake is how the warm state settled one fresh connection.
+// TokenHit is only ever set on h3 (ProtoWireH3) connections.
+type Handshake struct {
+	Resumed  bool // a session ticket covering the host resumed it
+	MemoHit  bool // full handshake whose chain validation the memo skipped
+	TokenHit bool // an address-validation token skipped the Retry round trip
 }
 
-// StoreToken issues an address-validation token covering the given
-// SANs, keyed by the wire protocol that minted it.
-func (c *Cache) StoreToken(sans []string, proto int) {
-	if c == nil {
-		return
-	}
-	c.Tokens.Store(sans, proto, c.clock.NowMs())
-}
+// ZeroRTT reports whether the handshake sends application data in the
+// first flight: it needs both a ticket to encrypt under and a token so
+// the server accepts the data before validating the path.
+func (h Handshake) ZeroRTT() bool { return h.Resumed && h.TokenHit }
 
-// ValidateChain records a chain validation, reporting whether the memo
-// made it free.
-func (c *Cache) ValidateChain(issuer string, sans []string) (hit bool) {
+// Establish settles one fresh connection to host whose certificate,
+// from issuer, covers sans. A ticket minted under the same wire
+// protocol and covering host resumes the session (cross-hostname
+// resumption, arXiv:1902.02531); otherwise a full handshake validates
+// the chain, free when the memo has seen it. Either way the session
+// mints a ticket for the certificate's coverage. An h3 connection then
+// redeems an address-validation token covering host and mints one for
+// the coverage (shared address validation); h1/h2 never touch tokens.
+// A nil cache is the cold path: the zero Handshake.
+func (c *Cache) Establish(host, issuer string, sans []string, wire int) Handshake {
 	if c == nil {
-		return false
+		return Handshake{}
 	}
-	return c.Chains.Validate(ChainHash(issuer, sans))
+	now := c.clock.NowMs()
+	h := Handshake{Resumed: c.Tickets.RedeemProto(host, wire, now)}
+	if !h.Resumed {
+		h.MemoHit = c.Chains.Validate(ChainHash(issuer, sans))
+	}
+	c.Tickets.StoreProto(sans, wire, now)
+	if wire == ProtoWireH3 {
+		h.TokenHit = c.Tokens.Redeem(host, wire, now)
+		c.Tokens.Store(sans, wire, now)
+	}
+	return h
 }

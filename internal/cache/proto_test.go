@@ -35,25 +35,26 @@ func TestTicketsDoNotCrossProtocols(t *testing.T) {
 func TestTokenProtocolKeyReuseAndExpiry(t *testing.T) {
 	sans := []string{"cdn.example.net"}
 	c := New(Options{TokenLifetimeSeconds: 60})
+	redeem := func(host string, proto int) bool { return c.Tokens.Redeem(host, proto, c.Clock().NowMs()) }
 
-	c.StoreToken(sans, ProtoWireH3)
-	if c.RedeemToken("cdn.example.net", ProtoWireH2) {
+	c.Tokens.Store(sans, ProtoWireH3, c.Clock().NowMs())
+	if redeem("cdn.example.net", ProtoWireH2) {
 		t.Fatal("h3 token redeemed under h2")
 	}
 	// Non-consuming: the same token serves repeated h3 connections.
 	for i := 0; i < 3; i++ {
-		if !c.RedeemToken("cdn.example.net", ProtoWireH3) {
+		if !redeem("cdn.example.net", ProtoWireH3) {
 			t.Fatalf("redemption %d: live h3 token refused", i)
 		}
 	}
 	// One millisecond before expiry the token is live; at expiry it is
 	// dead (a token expiring exactly at nowMs does not redeem).
 	c.Clock().AdvanceMs(60_000 - 1)
-	if !c.RedeemToken("cdn.example.net", ProtoWireH3) {
+	if !redeem("cdn.example.net", ProtoWireH3) {
 		t.Fatal("token dead 1ms before expiry")
 	}
 	c.Clock().AdvanceMs(1)
-	if c.RedeemToken("cdn.example.net", ProtoWireH3) {
+	if redeem("cdn.example.net", ProtoWireH3) {
 		t.Fatal("token redeemed at its exact expiry instant")
 	}
 }

@@ -24,34 +24,48 @@ var Protocols = browser.Protocols
 func ParseProtocol(s string) (Protocol, error) { return browser.ParseProtocol(s) }
 
 // ProtocolReplayCosts replays one recorded page load under the given
-// protocol and returns what the visit paid. ProtoH2 is exactly
-// WarmReplayCosts — the paper's baseline, byte for byte. The other two
-// protocols reinterpret the page's connection structure while keeping
-// its DNS accounting identical, deliberately isolating the transport
-// effect from resolution effects so per-protocol ledgers stay directly
-// comparable (LookupsNeeded is invariant across protocols):
+// protocol against a warm-path cache and returns what the visit paid.
+// The page itself is the visit structure — which requests issued fresh
+// DNS queries and handshakes (NewDNS/NewTLS) versus riding existing
+// state — and the cache decides, per fresh setup, whether warm state
+// makes it cheaper:
+//
+//   - a NewDNS entry consults the DNS cache before "querying"; misses
+//     populate it with the entry's answer set under the cache's default
+//     TTL (HAR records carry no TTLs);
+//   - a fresh connection is settled by cache.Establish: a covering
+//     ticket resumes it, otherwise a full handshake validates the chain
+//     unless the memo has seen it, and under h3 a covering token skips
+//     the Retry round trip. Warm state is keyed by the protocol's wire,
+//     so h2 state never leaks into an h3 replay;
+//   - race extras (ExtraDNS/ExtraTLS) are speculative and bypass every
+//     cache, so they cost the same on every visit.
+//
+// ProtoH2 replays the recorded connection structure: an entry reusing
+// a connection (!NewTLS, secure) counts as coalescing reuse. The other
+// two protocols reinterpret it while keeping the DNS accounting
+// identical, isolating the transport effect from resolution effects
+// (LookupsNeeded is invariant across protocols):
 //
 //   - ProtoH1: no cross-host coalescing. A request reuses a connection
 //     only when an earlier request in the same visit already connected
 //     to the same hostname (keep-alive); every first contact with a
 //     hostname pays a connection, whatever the recorded h2 coalescing
-//     said. Tickets are redeemed and minted under the h1 key.
+//     said.
 //   - ProtoH3: the recorded coalescing structure holds (the SAN rules
 //     authorizing h2 coalescing authorize h3 pooling equally), but every
-//     fresh connection additionally settles address validation: a
-//     stored token covering the host skips the Retry round trip
-//     (AddrTokenHits), otherwise validation is performed
-//     (AddrValidations). A ticket and a token together make the
-//     handshake 0-RTT. Both are redeemed and minted under the h3 key,
-//     so h2 state never leaks into an h3 replay.
+//     fresh connection also settles address validation.
 //
-// A nil cache replays the pure cold visit for every protocol.
+// A nil cache replays the pure cold visit: at ProtoH2 the returned
+// DNSQueries and FullHandshakes then equal the page's measured §4.2
+// counts exactly (p.DNSQueries() and p.TLSConnections()).
 func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts {
-	if proto == ProtoH2 {
-		return WarmReplayCosts(p, c)
-	}
 	vc := VisitCosts{Pages: 1}
-	connected := map[string]bool{}
+	var connected map[string]bool
+	if proto == ProtoH1 {
+		connected = map[string]bool{}
+	}
+	wire := proto.Wire()
 	for i := range p.Entries {
 		e := &p.Entries[i]
 		if e.NewDNS {
@@ -73,7 +87,6 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 		if !e.Secure {
 			continue
 		}
-		vc.ConnsNeeded++
 		reused := !e.NewTLS
 		if proto == ProtoH1 {
 			// Keep-alive only: reuse requires a live same-host connection.
@@ -81,6 +94,7 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 			connected[e.Host] = true
 		}
 		if reused {
+			vc.ConnsNeeded++
 			vc.ReusedConns++
 			continue
 		}
@@ -88,34 +102,7 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 		if len(sans) == 0 {
 			sans = []string{e.Host}
 		}
-		wire := proto.Wire()
-		if c.RedeemTicketProto(e.Host, wire) {
-			vc.ResumedTLS++
-			if proto == ProtoH3 && c.RedeemToken(e.Host, wire) {
-				vc.AddrTokenHits++
-				vc.ZeroRTT++
-			} else if proto == ProtoH3 {
-				vc.AddrValidations++
-			}
-		} else {
-			vc.FullHandshakes++
-			if c.ValidateChain(e.CertIssuer, sans) {
-				vc.CertMemoHits++
-			} else {
-				vc.Validations++
-			}
-			if proto == ProtoH3 {
-				if c.RedeemToken(e.Host, wire) {
-					vc.AddrTokenHits++
-				} else {
-					vc.AddrValidations++
-				}
-			}
-		}
-		c.StoreTicketProto(sans, wire)
-		if proto == ProtoH3 {
-			c.StoreToken(sans, wire)
-		}
+		vc.AddHandshake(c.Establish(e.Host, e.CertIssuer, sans, wire), proto)
 	}
 	// Races fire before any warm state could be consulted; under h3 the
 	// speculative connections also pay address validation.
@@ -131,9 +118,9 @@ func ProtocolReplayCosts(p *har.Page, proto Protocol, c *cache.Cache) VisitCosts
 
 // ProtocolReplaySequence replays a page visits times under one protocol
 // against one fresh cache built from opts, advancing the cache clock by
-// the configured revisit interval between visits — the per-protocol
-// analogue of WarmReplaySequence (to which it is byte-identical at
-// ProtoH2).
+// the configured revisit interval between visits. Element i of the
+// result is what visit i+1 paid; visit 1 is the cold load. A zero
+// visits count returns nil.
 func ProtocolReplaySequence(p *har.Page, visits int, opts cache.Options, proto Protocol) []VisitCosts {
 	if visits <= 0 {
 		return nil

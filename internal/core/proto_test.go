@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"respectorigin/internal/cache"
@@ -19,20 +18,6 @@ func protoTestPages(t *testing.T) []*har.Page {
 		t.Fatal(err)
 	}
 	return ds.Pages
-}
-
-// The h2 protocol replay IS the legacy warm replay: threading the
-// protocol through must not move a single count on the default path.
-func TestProtocolReplayH2MatchesWarmReplay(t *testing.T) {
-	opts := cache.Options{}
-	for _, p := range protoTestPages(t) {
-		want := WarmReplaySequence(p, 3, opts)
-		got := ProtocolReplaySequence(p, 3, opts, ProtoH2)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("page %s: h2 protocol replay differs from WarmReplaySequence:\n got %+v\nwant %+v",
-				p.Host, got, want)
-		}
-	}
 }
 
 // Every h3 visit ledger must hold the exact address-validation

@@ -13,7 +13,7 @@ import (
 // v+1 paid summed over every page; pages-read is returned alongside.
 //
 // Ledger addition is associative and commutative, so the totals are
-// identical to replaying an in-memory page slice (report.WarmColdProto
+// identical to replaying an in-memory page slice (report.Corpus.WarmCold
 // over the same pages) — the property the streaming migration's tests
 // pin down. The reader is left at end of stream; closing it stays with
 // the caller.

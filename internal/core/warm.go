@@ -2,7 +2,8 @@ package core
 
 import (
 	"respectorigin/internal/cache"
-	"respectorigin/internal/har"
+	"respectorigin/internal/netsim"
+	"respectorigin/internal/quic"
 )
 
 // VisitCosts is the per-visit cost ledger of a warm/cold page-load
@@ -92,96 +93,74 @@ func (v VisitCosts) Consistent() bool {
 	return addr == 0 || addr == v.ResumedTLS+v.FullHandshakes
 }
 
-// WarmReplayCosts replays one recorded page load against a warm-path
-// cache and returns what the visit paid. The page itself is the visit
-// structure — which requests issued fresh DNS queries and handshakes
-// (NewDNS/NewTLS) versus riding existing state — and the cache decides,
-// per fresh setup, whether warm state makes it cheaper:
-//
-//   - a NewDNS entry consults the DNS cache before "querying"; misses
-//     populate it with the entry's answer set under the cache's default
-//     TTL (HAR records carry no TTLs);
-//   - a NewTLS entry redeems a session ticket when one covers the host
-//     (skipping the full handshake and validation entirely), otherwise
-//     performs a full handshake whose chain validation the memo may
-//     skip; either way the handshake's certificate mints a ticket;
-//   - entries reusing connections (!NewTLS, secure) count as coalescing
-//     reuse; race extras (ExtraDNS/ExtraTLS) are speculative and bypass
-//     every cache, so they cost the same on every visit.
-//
-// A nil cache replays the pure cold visit: the returned DNSQueries and
-// FullHandshakes then equal the page's measured §4.2 counts exactly
-// (p.DNSQueries() and p.TLSConnections()).
-func WarmReplayCosts(p *har.Page, c *cache.Cache) VisitCosts {
-	vc := VisitCosts{Pages: 1}
-	for i := range p.Entries {
-		e := &p.Entries[i]
-		if e.NewDNS {
-			if _, negative, ok := c.LookupDNS(e.Host); ok {
-				if negative {
-					vc.DNSNegHits++
-				} else {
-					vc.DNSCacheHits++
-				}
-			} else {
-				vc.DNSQueries++
-				if len(e.DNSAnswer) > 0 {
-					c.PutDNS(e.Host, e.DNSAnswer, c.DefaultTTL())
-				}
-			}
+// AddHandshake folds one fresh connection, settled by h under proto,
+// into the ledger: a resumption or a full handshake (whose validation
+// the memo may have skipped), and under h3 a token hit or an address
+// validation, with 0-RTT when both a ticket and a token were redeemed.
+func (v *VisitCosts) AddHandshake(h cache.Handshake, proto Protocol) {
+	v.ConnsNeeded++
+	if h.Resumed {
+		v.ResumedTLS++
+	} else {
+		v.FullHandshakes++
+		if h.MemoHit {
+			v.CertMemoHits++
 		} else {
-			vc.DNSCoalesced++
+			v.Validations++
 		}
-		if !e.Secure {
-			continue
-		}
-		if !e.NewTLS {
-			vc.ConnsNeeded++
-			vc.ReusedConns++
-			continue
-		}
-		vc.ConnsNeeded++
-		sans := e.CertSANs
-		if len(sans) == 0 {
-			sans = []string{e.Host}
-		}
-		if c.RedeemTicketProto(e.Host, cache.ProtoWireH2) {
-			vc.ResumedTLS++
-		} else {
-			vc.FullHandshakes++
-			if c.ValidateChain(e.CertIssuer, sans) {
-				vc.CertMemoHits++
-			} else {
-				vc.Validations++
-			}
-		}
-		c.StoreTicketProto(sans, cache.ProtoWireH2)
 	}
-	// Happy-eyeballs and speculative-connection races (§4.2) fire
-	// before any answer or ticket could be consulted.
-	vc.DNSQueries += p.ExtraDNS
-	vc.ConnsNeeded += p.ExtraTLS
-	vc.FullHandshakes += p.ExtraTLS
-	vc.Validations += p.ExtraTLS
-	return vc
+	if proto != ProtoH3 {
+		return
+	}
+	if h.TokenHit {
+		v.AddrTokenHits++
+	} else {
+		v.AddrValidations++
+	}
+	if h.ZeroRTT() {
+		v.ZeroRTT++
+	}
 }
 
-// WarmReplaySequence replays a page visits times against one fresh
-// cache built from opts, advancing the cache clock by the configured
-// revisit interval between visits. Element i of the result is what
-// visit i+1 paid; visit 1 is the cold load. A zero visits count
-// returns nil.
-func WarmReplaySequence(p *har.Page, visits int, opts cache.Options) []VisitCosts {
-	if visits <= 0 {
-		return nil
+// SetupMs prices the ledger's connection setups under proto in
+// milliseconds of pure arithmetic on the network parameters — no RNG,
+// no jitter — so tables built on it are deterministic by construction.
+// Every handshake is scaled by p.CostScale() (LatencyScale folded with
+// loss inflation):
+//
+//	h1/h2 resumed:  TCP (1 RTT) + TLS round trips
+//	h1/h2 full:     the above + certificate verification
+//	h3:             the quic.Path round trips (0-RTT free, 1 RTT, +1
+//	                Retry RTT when no token covers the host) +
+//	                certificate verification unless resumed
+//
+// Reused (coalesced) connections cost nothing by definition.
+func (v VisitCosts) SetupMs(proto Protocol, p netsim.Params) float64 {
+	scale := p.CostScale()
+	if proto != ProtoH3 {
+		resumedMs := (p.RTTMs + p.TLSRoundTrips*p.RTTMs) * scale
+		fullMs := (p.RTTMs + p.TLSRoundTrips*p.RTTMs + p.CertVerifyMs) * scale
+		return float64(v.ResumedTLS)*resumedMs + float64(v.FullHandshakes)*fullMs
 	}
-	c := cache.New(opts)
-	out := make([]VisitCosts, visits)
-	for v := 0; v < visits; v++ {
-		if v > 0 {
-			c.Clock().AdvanceMs(c.Opts().RevisitIntervalMs)
+	// Decompose fresh h3 connections by path from the exact ledger
+	// identities: AddrTokenHits + AddrValidations = fresh connections.
+	fullTok := v.AddrTokenHits - v.ZeroRTT
+	paths := [...]struct {
+		n    int
+		path quic.Path
+	}{
+		{v.ZeroRTT, quic.Path{Resumed: true, TokenHit: true}},
+		{v.ResumedTLS - v.ZeroRTT, quic.Path{Resumed: true}},
+		{fullTok, quic.Path{TokenHit: true}},
+		{v.FullHandshakes - fullTok, quic.Path{}},
+	}
+	ms := 0.0
+	for _, c := range paths {
+		perMs := c.path.RTTs() * p.RTTMs
+		if !c.path.Resumed {
+			perMs += p.CertVerifyMs
 		}
-		out[v] = WarmReplayCosts(p, c)
+		ms += float64(c.n) * (perMs * scale)
 	}
-	return out
+	return ms
 }

@@ -42,6 +42,13 @@ func resolveH3(cc *cache.Cache, client *Client, host string) (addrs []netip.Addr
 	return addrs, false, nil
 }
 
+// establishH3 settles one h3 connection to host against the warm cache
+// and returns the QUIC path it takes.
+func establishH3(cc *cache.Cache, host string, sans []string) quic.Path {
+	h := cc.Establish(host, "", sans, cache.ProtoWireH3)
+	return quic.Path{Resumed: h.Resumed, TokenHit: h.TokenHit}
+}
+
 // A DoH-resolved lookup feeds a QUIC connection: the cold visit pays a
 // wire query and the full 2-RTT establishment, the warm revisit is a
 // DNS-cache hit riding straight into a 0-RTT handshake — no DoH query,
@@ -56,7 +63,7 @@ func TestDoHResolvedLookupFeedsQUICConnection(t *testing.T) {
 	if err != nil || cached || len(addrs) != 2 {
 		t.Fatalf("cold resolve: addrs=%v cached=%v err=%v", addrs, cached, err)
 	}
-	path := quic.Establish(cc, "www.example.com", sans)
+	path := establishH3(cc, "www.example.com", sans)
 	if path.Resumed || path.TokenHit || path.RTTs() != 2 {
 		t.Fatalf("cold establishment not full-no-token: %+v (%.0f RTTs)", path, path.RTTs())
 	}
@@ -70,7 +77,7 @@ func TestDoHResolvedLookupFeedsQUICConnection(t *testing.T) {
 	if err != nil || !cached || len(addrs) != 2 {
 		t.Fatalf("warm resolve: addrs=%v cached=%v err=%v", addrs, cached, err)
 	}
-	path = quic.Establish(cc, "www.example.com", sans)
+	path = establishH3(cc, "www.example.com", sans)
 	if !path.ZeroRTT() || path.RTTs() != 0 {
 		t.Fatalf("warm establishment not 0-RTT: %+v (%.0f RTTs)", path, path.RTTs())
 	}
@@ -80,7 +87,7 @@ func TestDoHResolvedLookupFeedsQUICConnection(t *testing.T) {
 
 	// SAN coverage extends both the ticket and the token across
 	// hostnames: a first visit to a covered sibling is already 0-RTT.
-	if p := quic.Establish(cc, "static.example.com", sans); !p.ZeroRTT() {
+	if p := establishH3(cc, "static.example.com", sans); !p.ZeroRTT() {
 		t.Fatalf("SAN-covered sibling not 0-RTT: %+v", p)
 	}
 }
@@ -170,7 +177,7 @@ func TestDoHNXDomainNegativeCache(t *testing.T) {
 		t.Fatalf("negative hit went to the wire: %d queries", client.Queries())
 	}
 	// The failed lookup minted no h3 warm state for the name.
-	if p := quic.Establish(cc, "nohost.example.com", nil); p.Resumed || p.TokenHit {
+	if p := establishH3(cc, "nohost.example.com", nil); p.Resumed || p.TokenHit {
 		t.Fatalf("NXDOMAIN produced warm h3 state: %+v", p)
 	}
 	// Past the negative TTL the name is retried on the wire.

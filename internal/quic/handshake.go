@@ -1,12 +1,9 @@
 package quic
 
-import (
-	"respectorigin/internal/cache"
-	"respectorigin/internal/netsim"
-)
+import "respectorigin/internal/netsim"
 
 // Path describes how one QUIC connection establishment proceeds, as
-// determined by the client's warm state:
+// determined by the client's warm state (see cache.Establish):
 //
 //   - Resumed: a protocol-keyed TLS session ticket (PSK) covered the
 //     host, so the cryptographic handshake is abbreviated and no
@@ -52,22 +49,4 @@ func (p Path) RTTs() float64 {
 // contract), so warm and cold h3 runs stay comparable draw for draw.
 func (p Path) HandshakeTime(n *netsim.Network, sanCount int) float64 {
 	return n.QUICHandshakeTime(p.RTTs(), !p.Resumed, sanCount)
-}
-
-// Establish consults the warm-path cache for one fresh h3 connection
-// to host and returns the handshake path, minting a fresh session
-// ticket and address-validation token for the certificate's coverage
-// either way (the NewSessionTicket + NEW_TOKEN flow every handshake
-// completes with). Both redemptions and both mints are keyed by
-// ProtoWireH3: state minted by TCP-based protocols never matches, and
-// state minted here never resumes an h1/h2 session. A nil cache is the
-// cold path: Path{}, costing the full 2-RTT establishment.
-func Establish(c *cache.Cache, host string, sans []string) Path {
-	p := Path{
-		Resumed:  c.RedeemTicketProto(host, cache.ProtoWireH3),
-		TokenHit: c.RedeemToken(host, cache.ProtoWireH3),
-	}
-	c.StoreTicketProto(sans, cache.ProtoWireH3)
-	c.StoreToken(sans, cache.ProtoWireH3)
-	return p
 }

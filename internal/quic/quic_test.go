@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"respectorigin/internal/cache"
 	"respectorigin/internal/netsim"
 )
 
@@ -69,35 +68,6 @@ func TestPathRTTs(t *testing.T) {
 		if got := c.path.ZeroRTT(); got != c.zeroRTT {
 			t.Errorf("%+v: ZeroRTT = %v, want %v", c.path, got, c.zeroRTT)
 		}
-	}
-}
-
-func TestEstablishWarmPath(t *testing.T) {
-	sans := []string{"www.example.com", "cdn.example.com"}
-	c := cache.New(cache.Options{})
-
-	// Cold: nothing to redeem, but the handshake mints ticket + token.
-	p := Establish(c, "www.example.com", sans)
-	if p.Resumed || p.TokenHit {
-		t.Fatalf("cold establish: path %+v, want neither resumed nor token", p)
-	}
-	// Warm revisit to a *different* covered hostname: cross-hostname
-	// resumption and shared address validation both apply.
-	p = Establish(c, "cdn.example.com", sans)
-	if !p.Resumed || !p.TokenHit || !p.ZeroRTT() {
-		t.Fatalf("warm establish: path %+v, want 0-RTT via shared SAN coverage", p)
-	}
-	// A hostname outside the coverage gets nothing.
-	p = Establish(c, "other.example.org", []string{"other.example.org"})
-	if p.Resumed || p.TokenHit {
-		t.Fatalf("uncovered establish: path %+v, want cold", p)
-	}
-}
-
-func TestEstablishNilCacheIsCold(t *testing.T) {
-	p := Establish(nil, "www.example.com", []string{"www.example.com"})
-	if p.Resumed || p.TokenHit || p.RTTs() != 2 {
-		t.Fatalf("nil-cache establish: %+v (RTTs %v), want cold 2-RTT path", p, p.RTTs())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"respectorigin/internal/cache"
 	"respectorigin/internal/core"
-	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
 	"respectorigin/internal/netsim"
 )
@@ -21,49 +20,17 @@ type ProtoCosts struct {
 // protocol (h1, h2, h3 — sweep order), each against a fresh per-page
 // per-protocol cache, and sums the per-visit ledgers across pages. The
 // three replays are independent passes over the same immutable pages,
-// so the result is identical for any worker count, and the h2 entry is
-// byte-identical to WarmCold (it delegates to the same replay).
+// so the result is identical for any worker count, and each entry is
+// WarmCold under its protocol.
 func (c *Corpus) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
 	if revisits <= 0 {
 		return nil
 	}
 	out := make([]ProtoCosts, 0, len(core.Protocols))
 	for _, proto := range core.Protocols {
-		out = append(out, ProtoCosts{Proto: proto, Visits: c.WarmColdProto(revisits, opts, proto)})
+		out = append(out, ProtoCosts{Proto: proto, Visits: c.WarmCold(revisits, opts, proto)})
 	}
 	return out
-}
-
-// WarmColdProto is WarmCold under one explicit protocol (identical to
-// WarmCold at ProtoH2 — the h2 replay is the same code path).
-func (c *Corpus) WarmColdProto(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
-	if revisits <= 0 {
-		return nil
-	}
-	return mapPages(c,
-		func() []core.VisitCosts { return make([]core.VisitCosts, revisits) },
-		func(acc []core.VisitCosts, p *har.Page) []core.VisitCosts {
-			for v, vc := range core.ProtocolReplaySequence(p, revisits, opts, proto) {
-				acc[v].Add(vc)
-			}
-			return acc
-		},
-		func(a, b []core.VisitCosts) []core.VisitCosts {
-			for v := range a {
-				a[v].Add(b[v])
-			}
-			return a
-		})
-}
-
-// WarmColdProto is Deployment.WarmCold under one explicit protocol
-// (identical to WarmCold at ProtoH2), run during the IP-coalescing
-// phase with the baseline restored afterwards.
-func (d *Deployment) WarmColdProto(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
-	d.CDN.EnterPhaseIP()
-	costs := d.Exp.WarmColdProto(revisits, opts, proto)
-	d.CDN.ExitExperiment()
-	return costs
 }
 
 // ProtoSweep runs the deployment experiment's returning-visitor
@@ -73,46 +40,18 @@ func (d *Deployment) ProtoSweep(revisits int, opts cache.Options) []ProtoCosts {
 	d.CDN.EnterPhaseIP()
 	out := make([]ProtoCosts, 0, len(core.Protocols))
 	for _, proto := range core.Protocols {
-		out = append(out, ProtoCosts{Proto: proto, Visits: d.Exp.WarmColdProto(revisits, opts, proto)})
+		out = append(out, ProtoCosts{Proto: proto, Visits: d.Exp.WarmCold(revisits, opts, proto)})
 	}
 	d.CDN.ExitExperiment()
 	return out
 }
 
-// protoSetupMs prices one ledger's connection setups in milliseconds of
-// pure arithmetic on the network parameters — no RNG, no jitter — so
-// the sweep table is deterministic by construction:
-//
-//	h1/h2 resumed:  TCP (1 RTT) + TLS round trips
-//	h1/h2 full:     the above + certificate verification
-//	h3 0-RTT:       free (ticket + token, data in the first flight)
-//	h3 1-RTT:       1 RTT, +1 Retry RTT when no token covers the host,
-//	                +certificate verification unless resumed
-//
-// Reused (coalesced) connections cost nothing by definition.
-func protoSetupMs(vc core.VisitCosts, proto core.Protocol, p netsim.Params) float64 {
-	rtt, verify := p.RTTMs, p.CertVerifyMs
-	if proto != core.ProtoH3 {
-		base := rtt + p.TLSRoundTrips*rtt
-		return float64(vc.ResumedTLS)*base + float64(vc.FullHandshakes)*(base+verify)
-	}
-	// Decompose fresh h3 connections by (resumed, token) from the exact
-	// ledger identities: AddrTokenHits + AddrValidations = fresh conns.
-	zero := vc.ZeroRTT                       // resumed + token: 0 RTT
-	resNoTok := vc.ResumedTLS - zero         // resumed, Retry: 2 RTT
-	fullTok := vc.AddrTokenHits - zero       // full + token: 1 RTT
-	fullNoTok := vc.FullHandshakes - fullTok // full, Retry: 2 RTT
-	return float64(resNoTok)*2*rtt +
-		float64(fullTok)*(rtt+verify) +
-		float64(fullNoTok)*(2*rtt+verify)
-}
-
 // ProtoSweepTable renders a per-protocol savings decomposition: the
 // per-visit ledgers for h1, h2 and h3 side by side, the arithmetic
-// setup cost of each, and a frontier comparison of the three coalescing
-// mechanisms the sweep isolates — ORIGIN-equivalent coalescing (reuse),
-// cross-hostname H3 resumption (tickets), and shared address validation
-// (tokens). DNS accounting is held identical across protocols, so every
+// setup cost of each (core.VisitCosts.SetupMs under p), and a frontier
+// comparison of the three coalescing mechanisms the sweep isolates —
+// ORIGIN-equivalent coalescing (reuse), cross-hostname H3 resumption
+// (tickets), and shared address validation (tokens). DNS accounting is held identical across protocols, so every
 // difference in the table is a transport effect.
 func ProtoSweepTable(sweep []ProtoCosts, p netsim.Params, label string) string {
 	var sb strings.Builder
@@ -126,7 +65,7 @@ func ProtoSweepTable(sweep []ProtoCosts, p netsim.Params, label string) string {
 			fmt.Fprintf(&sb, "  %-5s  %5d %8d %7d %8d %8d %5d %8d %9d %10.1f\n",
 				pc.Proto, v+1, vc.DNSQueries, vc.ReusedConns, vc.ResumedTLS,
 				vc.FullHandshakes, vc.ZeroRTT, vc.AddrTokenHits, vc.AddrValidations,
-				protoSetupMs(vc, pc.Proto, p))
+				vc.SetupMs(pc.Proto, p))
 			if !vc.Consistent() {
 				fmt.Fprintf(&sb, "  WARNING: %s visit %d ledger inconsistent\n", pc.Proto, v+1)
 			}
@@ -149,15 +88,15 @@ func ProtoSweepTable(sweep []ProtoCosts, p netsim.Params, label string) string {
 	if !ok1 || !ok2 || !ok3 {
 		return sb.String()
 	}
-	c1 := protoSetupMs(h1, core.ProtoH1, p)
-	c2 := protoSetupMs(h2, core.ProtoH2, p)
-	c3 := protoSetupMs(h3, core.ProtoH3, p)
+	c1 := h1.SetupMs(core.ProtoH1, p)
+	c2 := h2.SetupMs(core.ProtoH2, p)
+	c3 := h3.SetupMs(core.ProtoH3, p)
 	fmt.Fprintf(&sb, "Coalescing frontier at visit %d (vs h1 keep-alive, %.1f ms setup):\n", last+1, c1)
 	fmt.Fprintf(&sb, "  ORIGIN-equivalent coalescing (h2): %+d reused conns, setup %.1f ms (-%.1f%%)\n",
 		h2.ReusedConns-h1.ReusedConns, c2, measure.ReductionPct(c1, c2))
 	fmt.Fprintf(&sb, "  H3 resumption:                     %d resumed (%d 0-RTT), setup %.1f ms (-%.1f%%)\n",
 		h3.ResumedTLS, h3.ZeroRTT, c3, measure.ReductionPct(c1, c3))
 	fmt.Fprintf(&sb, "  shared address validation:         %d token hits avoided %d Retry RTTs (%.1f ms)\n",
-		h3.AddrTokenHits, h3.AddrTokenHits, float64(h3.AddrTokenHits)*p.RTTMs)
+		h3.AddrTokenHits, h3.AddrTokenHits, float64(h3.AddrTokenHits)*(p.RTTMs*p.CostScale()))
 	return sb.String()
 }

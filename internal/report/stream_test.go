@@ -76,7 +76,7 @@ func TestReplayReaderSequenceMatchesWarmCold(t *testing.T) {
 	for _, f := range []corpus.Format{corpus.FormatNDJSON, corpus.FormatColumnar} {
 		raw := encodeDS(t, ds, f)
 		for _, proto := range core.Protocols {
-			want := c.WarmColdProto(revisits, opts, proto)
+			want := c.WarmCold(revisits, opts, proto)
 			got, pages, err := core.ReplayReaderSequence(corpus.NewReader(bytes.NewReader(raw), f), revisits, opts, proto)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f, proto, err)

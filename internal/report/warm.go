@@ -10,19 +10,19 @@ import (
 	"respectorigin/internal/measure"
 )
 
-// WarmCold replays every corpus page revisits times against a fresh
-// per-page warm-path cache and sums the per-visit cost ledgers across
-// pages. The pass fans out across the corpus workers; per-page
-// sequences are independent and ledger addition is associative, so the
-// result is identical for any worker count.
-func (c *Corpus) WarmCold(revisits int, opts cache.Options) []core.VisitCosts {
+// WarmCold replays every corpus page revisits times under proto, each
+// against a fresh per-page warm-path cache, and sums the per-visit
+// cost ledgers across pages. The pass fans out across the corpus
+// workers; per-page sequences are independent and ledger addition is
+// associative, so the result is identical for any worker count.
+func (c *Corpus) WarmCold(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
 	if revisits <= 0 {
 		return nil
 	}
 	return mapPages(c,
 		func() []core.VisitCosts { return make([]core.VisitCosts, revisits) },
 		func(acc []core.VisitCosts, p *har.Page) []core.VisitCosts {
-			for v, vc := range core.WarmReplaySequence(p, revisits, opts) {
+			for v, vc := range core.ProtocolReplaySequence(p, revisits, opts, proto) {
 				acc[v].Add(vc)
 			}
 			return acc
@@ -36,11 +36,11 @@ func (c *Corpus) WarmCold(revisits int, opts cache.Options) []core.VisitCosts {
 }
 
 // WarmCold runs the deployment experiment's returning-visitor
-// measurement under the IP-coalescing phase (where cross-host
-// coalescing is strongest) and restores baseline afterwards.
-func (d *Deployment) WarmCold(revisits int, opts cache.Options) []core.VisitCosts {
+// measurement under proto during the IP-coalescing phase (where
+// cross-host coalescing is strongest) and restores baseline afterwards.
+func (d *Deployment) WarmCold(revisits int, opts cache.Options, proto core.Protocol) []core.VisitCosts {
 	d.CDN.EnterPhaseIP()
-	costs := d.Exp.WarmCold(revisits, opts)
+	costs := d.Exp.WarmCold(revisits, opts, proto)
 	d.CDN.ExitExperiment()
 	return costs
 }

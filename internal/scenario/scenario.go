@@ -6,6 +6,7 @@ import (
 
 	"respectorigin/internal/browser"
 	"respectorigin/internal/cache"
+	"respectorigin/internal/core"
 	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/netsim"
@@ -268,22 +269,21 @@ func runCell(pages []*har.Page, archetype webgen.Archetype, persona Persona, pro
 
 // setupMs prices the cell's connection economy under the profile, in
 // pure arithmetic from the profile parameters (no RNG — cells must be
-// byte-stable). A full TLS setup costs the TCP round trip, the
-// handshake round trips, and certificate verification; a resumed
+// byte-stable). Every socket is one handshake priced by
+// core.VisitCosts.SetupMs: a full TLS setup costs the TCP round trip,
+// the handshake round trips, and certificate verification; a resumed
 // handshake skips verification. Do53 resolution costs DNSMs per wire
 // query; DoH pays one resolver-connection setup per page that reached
 // the wire plus one resolver round trip per query — the transport's
 // amortization trade.
 func setupMs(cell Cell, resumed, resolverConns int, p netsim.Params, t cache.DNSTransport) float64 {
 	scale := p.CostScale()
-	fullMs := (p.RTTMs + p.TLSRoundTrips*p.RTTMs + p.CertVerifyMs) * scale
-	resumedMs := (p.RTTMs + p.TLSRoundTrips*p.RTTMs) * scale
-	sockets := cell.Conns + cell.Preconns
-	full := sockets - resumed
+	full := cell.Conns + cell.Preconns - resumed
 	if full < 0 {
 		full = 0
 	}
-	ms := float64(full)*fullMs + float64(resumed)*resumedMs
+	// Persona browsers speak the default protocol, h2.
+	ms := core.VisitCosts{ResumedTLS: resumed, FullHandshakes: full}.SetupMs(core.ProtoH2, p)
 	switch t {
 	case cache.TransportDoH:
 		ms += float64(resolverConns) * (p.RTTMs + p.TLSRoundTrips*p.RTTMs) * scale

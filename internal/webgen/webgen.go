@@ -168,7 +168,9 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 		results[i] = make(chan shardResult, 1)
 	}
 	// tokens bounds generated-but-unemitted shards; done aborts workers
-	// when the writer fails.
+	// when the writer fails. A worker takes its token before claiming a
+	// shard, so shards are claimed in order by token holders: the shard
+	// the writer waits for never queues behind later shards' tokens.
 	tokens := make(chan struct{}, workers*2)
 	done := make(chan struct{})
 	var next atomic.Int64
@@ -178,13 +180,13 @@ func GenerateStream(cfg Config, emit func(*har.Page) error) (*StreamResult, erro
 		go func() {
 			defer wg.Done()
 			for {
-				s := int(next.Add(1)) - 1
-				if s >= nshards {
-					return
-				}
 				select {
 				case tokens <- struct{}{}:
 				case <-done:
+					return
+				}
+				s := int(next.Add(1)) - 1
+				if s >= nshards {
 					return
 				}
 				lo := rankLo + s*span

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"respectorigin/internal/asn"
+	"respectorigin/internal/corpus"
 	"respectorigin/internal/har"
 	"respectorigin/internal/measure"
 )
@@ -42,8 +43,11 @@ func TestGenerateDeterministic(t *testing.T) {
 func ndjsonBytes(t *testing.T, ds *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := har.WriteJSON(&buf, ds.Pages); err != nil {
-		t.Fatal(err)
+	w := corpus.NewNDJSONWriter(&buf)
+	for _, p := range ds.Pages {
+		if err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }
@@ -102,8 +106,7 @@ func TestGenerateStreamMatchesGenerate(t *testing.T) {
 	for _, w := range []int{1, 8} {
 		cfg.Workers = w
 		var buf bytes.Buffer
-		sw := har.NewStreamWriter(&buf)
-		res, err := GenerateStream(cfg, sw.Write)
+		res, err := GenerateStream(cfg, corpus.NewNDJSONWriter(&buf).Write)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,11 +378,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRebuildASDBRoundTrip(t *testing.T) {
 	ds := genSmall(t, 200)
-	var buf bytes.Buffer
-	if err := har.WriteJSON(&buf, ds.Pages); err != nil {
-		t.Fatal(err)
-	}
-	pages, err := har.ReadJSON(&buf)
+	pages, err := corpus.ReadAll(corpus.NewNDJSONReader(bytes.NewReader(ndjsonBytes(t, ds))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,8 +417,7 @@ func TestGenerateStreamRankRangeByteIdentical(t *testing.T) {
 		shCfg := cfg
 		shCfg.RankLo, shCfg.RankHi = bounds[i], bounds[i+1]
 		shCfg.Workers = 1 + i%2*3 // mix worker counts across shards
-		sw := har.NewStreamWriter(&buf)
-		res, err := GenerateStream(shCfg, sw.Write)
+		res, err := GenerateStream(shCfg, corpus.NewNDJSONWriter(&buf).Write)
 		if err != nil {
 			t.Fatalf("shard [%d,%d): %v", bounds[i], bounds[i+1], err)
 		}
